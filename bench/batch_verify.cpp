@@ -66,7 +66,10 @@
 #include "workload/generator.h"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -541,6 +544,36 @@ void writeJson(const Options &Opt, const CorpusResult &C,
   std::printf("wrote %s\n", Opt.JsonPath.c_str());
 }
 
+/// Largest accepted --threads entry: a typo must not ask TaskPool for
+/// thousands of workers.
+constexpr unsigned long kMaxThreads = 256;
+
+/// Parses \p S as a comma-separated list of positive decimal integers, each
+/// at most \p Max (one entry when \p Single). Exits 1 with a message naming
+/// \p Flag on non-numeric input, a sign, zero, trailing junk or an entry
+/// above \p Max — before any thread starts.
+std::vector<unsigned> parseCounts(const char *Flag, const char *S,
+                                  unsigned long Max, bool Single = false) {
+  std::vector<unsigned> Out;
+  const char *P = S;
+  do {
+    char *End = nullptr;
+    errno = 0;
+    unsigned long V = std::isdigit(static_cast<unsigned char>(*P))
+                          ? std::strtoul(P, &End, 10)
+                          : 0;
+    if (V == 0 || errno == ERANGE || V > Max ||
+        (*End != '\0' && (*End != ',' || Single))) {
+      std::fprintf(stderr, "bad %s value '%s': expected %s in 1..%lu\n",
+                   Flag, S, Single ? "an integer" : "integers", Max);
+      std::exit(1);
+    }
+    Out.push_back(static_cast<unsigned>(V));
+    P = *End == ',' ? End + 1 : End;
+  } while (*P);
+  return Out;
+}
+
 void usage(const char *Argv0) {
   std::printf(
       "usage: %s [--edits N] [--seed S] [--repeats N] [--pct-assert N]\n"
@@ -590,30 +623,12 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (!std::strcmp(Argv[I], "--sizes")) {
-      Opt.SweepSizes.clear();
-      const char *S = next("--sizes");
-      while (*S) {
-        char *End = nullptr;
-        unsigned long V = std::strtoul(S, &End, 10);
-        if (End == S)
-          break;
-        Opt.SweepSizes.push_back(static_cast<unsigned>(V));
-        S = (*End == ',') ? End + 1 : End;
-      }
+      Opt.SweepSizes = parseCounts("--sizes", next("--sizes"), UINT_MAX);
     } else if (!std::strcmp(Argv[I], "--threads")) {
-      Opt.Threads.clear();
-      const char *S = next("--threads");
-      while (*S) {
-        char *End = nullptr;
-        unsigned long V = std::strtoul(S, &End, 10);
-        if (End == S)
-          break;
-        Opt.Threads.push_back(static_cast<unsigned>(V));
-        S = (*End == ',') ? End + 1 : End;
-      }
+      Opt.Threads = parseCounts("--threads", next("--threads"), kMaxThreads);
     } else if (!std::strcmp(Argv[I], "--rounds")) {
-      Opt.ParallelRounds = static_cast<unsigned>(
-          std::strtoul(next("--rounds"), nullptr, 10));
+      Opt.ParallelRounds =
+          parseCounts("--rounds", next("--rounds"), UINT_MAX, true).front();
     } else if (!std::strcmp(Argv[I], "--json")) {
       Opt.JsonPath = next("--json");
     } else if (!std::strcmp(Argv[I], "--no-json")) {

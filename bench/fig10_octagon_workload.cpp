@@ -47,14 +47,6 @@
 /// zone-side prunings, which only tighten). staged_escalated_transfers is
 /// the staged gate metric: the octagon work the escalation actually paid.
 ///
-/// After the sweep — once every gate counter window has closed — a
-/// PARALLEL PHASE (`--threads 1,2,4`) batch-re-analyzes a call-heavy
-/// variant of the largest workload with InterprocEngine::setParallelism(T)
-/// and cross-checks every instance's exit summary against the serial
-/// engine, emitting `threads` / `speedup` / `parallel_result_mismatches`
-/// rows plus `hardware_threads` (speedup on a 1-core runner is necessarily
-/// ~1x; the mismatch count is the correctness signal and must be 0).
-///
 /// Registry-era rows (PR 10) run after the historical sweep loop so every
 /// pre-registry counter window closes first and the octagon/zone/staged
 /// gate counters stay bit-identical to older baselines:
@@ -76,8 +68,7 @@
 /// scripts/check_bench_regression.sh compares a fresh JSON against the
 /// committed baseline, gating on the deterministic closure-cells-touched
 /// (octagon), closure-vertices-visited (zone), escalated-transfers
-/// (staged), and partitions-collapsed (dis_interval) counters, and
-/// hard-fails on nonzero parallel mismatches.
+/// (staged), and partitions-collapsed (dis_interval) counters.
 ///
 /// Defaults are scaled down from the paper's 3,000 edits × 9 trials so the
 /// whole suite runs in CI time; pass `--edits 3000 --trials 9` for paper
@@ -101,7 +92,6 @@
 #include "interproc/engine.h"
 #include "support/observe.h"
 #include "support/statistics.h"
-#include "support/task_pool.h"
 #include "workload/generator.h"
 
 #include <algorithm>
@@ -164,8 +154,6 @@ struct Options {
   DomainChoice Domain = DomainChoice::Both; ///< Sweep axis; table runs one.
   std::string JsonPath = "BENCH_fig10.json"; ///< Empty disables JSON.
   std::vector<unsigned> SweepSizes = {8, 16, 32, 48};
-  std::vector<unsigned> Threads = {1, 2, 4}; ///< Parallel-phase axis.
-  unsigned ParallelReps = 3; ///< Best-of repeats per thread count.
 };
 
 /// The incr+demand edit/query loop over a live engine: Opt.Edits random
@@ -535,94 +523,6 @@ ErasureAB runErasureAB(const Options &Opt) {
   return R;
 }
 
-//===----------------------------------------------------------------------===//
-// Parallel phase (--threads): engine-internal parallel batch re-analysis
-//===----------------------------------------------------------------------===//
-
-/// One row of the parallel phase: setParallelism(Threads) batch analysis
-/// of the same call-heavy octagon workload, answers cross-checked against
-/// the serial engine.
-struct ParallelRow {
-  unsigned Threads = 0;
-  double WallMs = 0;    ///< Best of Opt.ParallelReps fresh re-analyses.
-  double Speedup = 1.0; ///< vs. this phase's threads=1 row.
-  uint64_t Mismatches = 0;
-  size_t Instances = 0;
-};
-
-/// Runs the parallel phase AFTER every sweep counter window has closed, so
-/// the gate counters stay bit-identical whether or not --threads is used.
-/// The workload is the largest sweep size made call-heavy (k=1, extra
-/// helpers) so each quiescence pass has many independent (function,
-/// context) instances to schedule.
-std::vector<ParallelRow> runParallelPhase(const Options &Opt) {
-  unsigned Vars = Opt.SweepSizes.empty() ? Opt.Vars : Opt.SweepSizes.back();
-  WorkloadOptions WOpts;
-  WOpts.Seed = Opt.Seed;
-  WOpts.NumVars = Vars;
-  WOpts.PctCallStmt = 18;
-  WOpts.HelperCount = 6;
-  WorkloadGenerator Gen(WOpts);
-  Program P = Gen.makeInitialProgram();
-  for (unsigned E = 0; E < Opt.Edits; ++E)
-    Gen.applyRandomEdit(P);
-
-  // Serial reference: exit summaries of every instance. Running it first
-  // also pre-interns the full name/symbol vocabulary, so the measured
-  // parallel runs hit the intern tables read-mostly.
-  InterprocEngine<OctagonDomain> Ref(P, "main", /*K=*/1);
-  if (!Ref.valid()) {
-    std::fprintf(stderr, "parallel phase workload invalid: %s\n",
-                 Ref.error().c_str());
-    return {};
-  }
-  Ref.analyzeAllFromMain();
-  std::map<std::string, Octagon> Want;
-  Ref.forEachInstance([&](const auto &Key, Daig<OctagonDomain> &G) {
-    Want.emplace(Key.toString(),
-                 G.queryLocation(Ref.cfgOf(Key.Fn)->exit()));
-  });
-
-  std::vector<ParallelRow> Rows;
-  double BaseMs = 0;
-  for (unsigned T : Opt.Threads) {
-    ParallelRow Row;
-    Row.Threads = T;
-    Row.WallMs = -1;
-    for (unsigned Rep = 0; Rep < Opt.ParallelReps; ++Rep) {
-      InterprocEngine<OctagonDomain> E(P, "main", /*K=*/1);
-      E.setParallelism(T);
-      Clock::time_point T0 = Clock::now();
-      Row.Instances = E.analyzeAllFromMain();
-      double Ms = msSince(T0);
-      if (Row.WallMs < 0 || Ms < Row.WallMs)
-        Row.WallMs = Ms;
-      if (Rep != 0)
-        continue;
-      // Cross-check (first rep only; answers are deterministic): every
-      // instance's exit summary must equal the serial engine's.
-      uint64_t Bad = 0;
-      size_t Seen = 0;
-      E.forEachInstance([&](const auto &Key, Daig<OctagonDomain> &G) {
-        ++Seen;
-        auto It = Want.find(Key.toString());
-        if (It == Want.end() ||
-            !OctagonDomain::equal(
-                G.queryLocation(E.cfgOf(Key.Fn)->exit()), It->second))
-          ++Bad;
-      });
-      if (Want.size() > Seen) // instances the parallel run never created
-        Bad += Want.size() - Seen;
-      Row.Mismatches = Bad;
-    }
-    if (BaseMs == 0 || T == 1)
-      BaseMs = Row.WallMs;
-    Row.Speedup = Row.WallMs > 0 ? BaseMs / Row.WallMs : 0.0;
-    Rows.push_back(Row);
-  }
-  return Rows;
-}
-
 double percentile(std::vector<double> Sorted, double P) {
   if (Sorted.empty())
     return 0;
@@ -713,23 +613,7 @@ int main(int argc, char **argv) {
       Opt.JsonPath = argv[++I];
     } else if (!std::strcmp(argv[I], "--no-json"))
       Opt.JsonPath.clear();
-    else if (!std::strcmp(argv[I], "--threads")) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --threads\n");
-        return 1;
-      }
-      Opt.Threads.clear();
-      for (const char *P = argv[++I]; *P;) {
-        char *End = nullptr;
-        long V = std::strtol(P, &End, 10);
-        if (End == P || V <= 0) {
-          std::fprintf(stderr, "bad --threads list\n");
-          return 1;
-        }
-        Opt.Threads.push_back(static_cast<unsigned>(V));
-        P = (*End == ',') ? End + 1 : End;
-      }
-    } else if (!std::strcmp(argv[I], "--sizes")) {
+    else if (!std::strcmp(argv[I], "--sizes")) {
       if (I + 1 >= argc) {
         std::fprintf(stderr, "missing value for --sizes\n");
         return 1;
@@ -751,7 +635,7 @@ int main(int argc, char **argv) {
                    "[--seed S] [--vars N] [--no-batch] "
                    "[--domain octagon|zone|staged|dis_interval|"
                    "arr_interval|arr_zone|both] [--json PATH] "
-                   "[--no-json] [--sizes N,N,...] [--threads N,N,...]\n",
+                   "[--no-json] [--sizes N,N,...]\n",
                    argv[0]);
       return 1;
     }
@@ -928,32 +812,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Parallel phase LAST: every sweep counter window above is closed, so the
-  // engine-parallel runs cannot perturb the gate counters.
-  std::vector<ParallelRow> ParallelRows = runParallelPhase(Opt);
-  bool ParallelOk = true;
-  if (!ParallelRows.empty()) {
-    std::printf("\n# parallel batch re-analysis (octagon, k=1, vars=%u, "
-                "best of %u, hardware threads: %u)\n",
-                Opt.SweepSizes.empty() ? Opt.Vars : Opt.SweepSizes.back(),
-                Opt.ParallelReps, TaskPool::hardwareParallelism());
-    std::printf("%8s %10s %10s %9s %10s\n", "threads", "instances",
-                "wall_ms", "speedup", "mismatch");
-    for (const ParallelRow &R : ParallelRows) {
-      std::printf("%8u %10zu %10.1f %8.2fx %10llu\n", R.Threads,
-                  R.Instances, R.WallMs, R.Speedup,
-                  static_cast<unsigned long long>(R.Mismatches));
-      if (R.Mismatches != 0) {
-        std::fprintf(stderr,
-                     "FAIL: %llu serial-vs-parallel result mismatches at "
-                     "%u threads\n",
-                     static_cast<unsigned long long>(R.Mismatches),
-                     R.Threads);
-        ParallelOk = false;
-      }
-    }
-  }
-
   FILE *F = std::fopen(Opt.JsonPath.c_str(), "w");
   if (!F) {
     std::fprintf(stderr, "cannot write %s\n", Opt.JsonPath.c_str());
@@ -986,8 +844,6 @@ int main(int argc, char **argv) {
                  RI + 1 < Results.size() ? "," : "");
   }
   std::fprintf(F, "  ],\n");
-  std::fprintf(F, "  \"hardware_threads\": %u,\n",
-               TaskPool::hardwareParallelism());
   // Tracing overhead audit: the default bench runs UN-traced, so the gate
   // zero-asserts both dai_trace_* fields — a nonzero value means a hook
   // recorded (or dropped) events on the measured counter paths.
@@ -1005,19 +861,6 @@ int main(int argc, char **argv) {
                  "\"erasure_counter_mismatches\": %llu},\n",
                  AB.Vars, AB.DirectWallMs, AB.ErasedWallMs, AB.OverheadPct,
                  static_cast<unsigned long long>(AB.CounterMismatches));
-  std::fprintf(F, "  \"parallel\": [\n");
-  for (size_t RI = 0; RI < ParallelRows.size(); ++RI) {
-    const ParallelRow &R = ParallelRows[RI];
-    std::fprintf(F,
-                 "    {\"phase\": \"batch_reanalysis\", \"domain\": "
-                 "\"octagon\", \"threads\": %u, \"instances\": %zu, "
-                 "\"wall_ms\": %.3f, \"speedup\": %.4f, "
-                 "\"parallel_result_mismatches\": %llu}%s\n",
-                 R.Threads, R.Instances, R.WallMs, R.Speedup,
-                 static_cast<unsigned long long>(R.Mismatches),
-                 RI + 1 < ParallelRows.size() ? "," : "");
-  }
-  std::fprintf(F, "  ],\n");
   std::fprintf(F, "  \"sizes\": [\n");
   for (size_t SI = 0; SI < Sweep.size(); ++SI) {
     const SweepResult &S = Sweep[SI];
@@ -1152,5 +995,5 @@ int main(int argc, char **argv) {
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
   std::fprintf(stderr, "wrote %s\n", Opt.JsonPath.c_str());
-  return ParallelOk && ErasureOk ? 0 : 1;
+  return ErasureOk ? 0 : 1;
 }

@@ -179,63 +179,55 @@ run_case checker-malformed-mismatches 1 \
   'FAIL \[checker\]: malformed verdict_mismatches' \
   "$TMP/base.json" "$TMP/fresh.json" "$TMP/vbase.json" "$TMP/vfresh_garbage.json"
 
-# A fresh fig10 result set carrying the parallel cross-check rows the
-# --threads axis emits (the sizes rows plus per-thread-count rows keyed on
-# "threads" rather than "vars", so the per-size gates never read them).
+# A fresh verify result set carrying the corpus-parallel cross-check rows
+# the --threads axis emits (keyed on "threads" rather than "vars", so the
+# per-size gates never read them).
 {
-  good_json
+  verify_json
   cat <<'EOF'
-{"phase": "batch_reanalysis", "domain": "octagon", "threads": 1, "instances": 4, "wall_ms": 0.5, "speedup": 1.0, "parallel_result_mismatches": 0}
-{"phase": "batch_reanalysis", "domain": "octagon", "threads": 4, "instances": 4, "wall_ms": 0.9, "speedup": 0.55, "parallel_result_mismatches": 0}
+{"phase": "corpus", "threads": 1, "wall_ms": 30.0, "programs_per_sec": 7000.0, "speedup": 1.0, "parallel_result_mismatches": 0}
+{"phase": "corpus", "threads": 4, "wall_ms": 12.0, "programs_per_sec": 17500.0, "speedup": 2.5, "parallel_result_mismatches": 0}
 EOF
-} > "$TMP/fresh_parallel.json"
+} > "$TMP/vfresh_parallel.json"
 
-# 17. Fresh json without threads rows (bench ran without --threads): named
-# per-bench SKIP, still exit 0.
-run_case parallel-skip-no-rows 0 'SKIP \[parallel-fig10\]: fresh' \
-  "$TMP/base.json" "$TMP/fresh.json"
+# 17. Fresh verify json without threads rows (bench ran without
+# --threads): named SKIP, still exit 0.
+run_case parallel-skip-no-rows 0 'SKIP \[parallel-checker\]: fresh' \
+  "$TMP/base.json" "$TMP/fresh.json" "$TMP/vbase.json" "$TMP/vfresh.json"
 
-# 18. Fresh carries parallel rows but the committed baseline predates them:
-# baseline SKIP note plus the baseline-independent mismatch check passing.
+# 18. Fresh carries parallel rows but the committed verify baseline
+# predates them: baseline SKIP note plus the baseline-independent mismatch
+# check passing.
 run_case parallel-pre-parallel-baseline 0 \
-  'parallel gate \[fig10\]: 0 serial-vs-parallel' \
-  "$TMP/base.json" "$TMP/fresh_parallel.json"
+  'parallel gate \[checker\]: 0 serial-vs-parallel' \
+  "$TMP/base.json" "$TMP/fresh.json" "$TMP/vbase.json" "$TMP/vfresh_parallel.json"
 run_case parallel-baseline-skip-note 0 \
-  'SKIP \[parallel-fig10\]: baseline' \
-  "$TMP/base.json" "$TMP/fresh_parallel.json"
+  'SKIP \[parallel-checker\]: baseline' \
+  "$TMP/base.json" "$TMP/fresh.json" "$TMP/vbase.json" "$TMP/vfresh_parallel.json"
 
-# 19. Serial-vs-parallel result mismatches in the fresh run: named FAIL
-# regardless of the baseline.
-sed 's/"speedup": 0.55, "parallel_result_mismatches": 0/"speedup": 0.55, "parallel_result_mismatches": 5/' \
-  "$TMP/fresh_parallel.json" > "$TMP/fresh_parallel_mismatch.json"
+# 19. Serial-vs-parallel result mismatches in the fresh verify run: named
+# FAIL regardless of the baseline, even when every other checker gate
+# passes.
+sed 's/"speedup": 2.5, "parallel_result_mismatches": 0/"speedup": 2.5, "parallel_result_mismatches": 5/' \
+  "$TMP/vfresh_parallel.json" > "$TMP/vfresh_parallel_mismatch.json"
 run_case parallel-mismatch 1 \
-  'FAIL \[parallel-fig10\]: 5 serial-vs-parallel result mismatches' \
-  "$TMP/base.json" "$TMP/fresh_parallel_mismatch.json"
+  'FAIL \[parallel-checker\]: 5 serial-vs-parallel result mismatches' \
+  "$TMP/base.json" "$TMP/fresh.json" "$TMP/vbase.json" "$TMP/vfresh_parallel_mismatch.json"
 
 # 20. Malformed parallel_result_mismatches field: named FAIL, not an awk
 # error.
 sed 's/"parallel_result_mismatches": 0/"parallel_result_mismatches": "??"/' \
-  "$TMP/fresh_parallel.json" > "$TMP/fresh_parallel_garbage.json"
+  "$TMP/vfresh_parallel.json" > "$TMP/vfresh_parallel_garbage.json"
 run_case parallel-malformed 1 \
-  'FAIL \[parallel-fig10\]: malformed parallel_result_mismatches' \
-  "$TMP/base.json" "$TMP/fresh_parallel_garbage.json"
+  'FAIL \[parallel-checker\]: malformed parallel_result_mismatches' \
+  "$TMP/base.json" "$TMP/fresh.json" "$TMP/vbase.json" "$TMP/vfresh_parallel_garbage.json"
 
-# 21. The verify json gets the same cross-check: mismatches in its parallel
-# corpus rows are a named FAIL even when every other checker gate passes.
-{
-  verify_json
-  echo '{"phase": "corpus", "threads": 2, "wall_ms": 30.0, "programs_per_sec": 7000.0, "speedup": 0.9, "parallel_result_mismatches": 2}'
-} > "$TMP/vfresh_parallel_mismatch.json"
-run_case parallel-checker-mismatch 1 \
-  'FAIL \[parallel-checker\]: 2 serial-vs-parallel result mismatches' \
-  "$TMP/base.json" "$TMP/fresh.json" "$TMP/vbase.json" "$TMP/vfresh_parallel_mismatch.json"
-
-# 22. Fresh json without dai_trace_* fields (bench predates the
+# 21. Fresh json without dai_trace_* fields (bench predates the
 # observability layer): named SKIP, still exit 0.
 run_case trace-skip-no-fields 0 'SKIP \[trace-fig10\]:' \
   "$TMP/base.json" "$TMP/fresh.json"
 
-# 23. Trace fields present and zero: the hygiene gate passes by name.
+# 22. Trace fields present and zero: the hygiene gate passes by name.
 {
   good_json
   echo '{"trace": {"dai_trace_events_dropped": 0, "dai_trace_events_recorded": 0}}'
@@ -243,7 +235,7 @@ run_case trace-skip-no-fields 0 'SKIP \[trace-fig10\]:' \
 run_case trace-zero-pass 0 'trace gate \[fig10\]: un-traced run' \
   "$TMP/base.json" "$TMP/fresh_trace_zero.json"
 
-# 24. Nonzero trace counter on the un-traced gate run: named FAIL — a hook
+# 23. Nonzero trace counter on the un-traced gate run: named FAIL — a hook
 # recorded events on the measured counter paths.
 sed 's/"dai_trace_events_recorded": 0/"dai_trace_events_recorded": 42/' \
   "$TMP/fresh_trace_zero.json" > "$TMP/fresh_trace_nonzero.json"
@@ -251,13 +243,13 @@ run_case trace-nonzero 1 \
   'FAIL \[trace-fig10\]: dai_trace_events_recorded is 42' \
   "$TMP/base.json" "$TMP/fresh_trace_nonzero.json"
 
-# 25. Malformed trace counter: named FAIL, not an awk error.
+# 24. Malformed trace counter: named FAIL, not an awk error.
 sed 's/"dai_trace_events_dropped": 0/"dai_trace_events_dropped": "no"/' \
   "$TMP/fresh_trace_zero.json" > "$TMP/fresh_trace_garbage.json"
 run_case trace-malformed 1 'FAIL \[trace-fig10\]: malformed' \
   "$TMP/base.json" "$TMP/fresh_trace_garbage.json"
 
-# 26. The verify json's trace fields are gated too.
+# 25. The verify json's trace fields are gated too.
 {
   verify_json
   echo '{"trace": {"dai_trace_events_dropped": 3, "dai_trace_events_recorded": 0}}'

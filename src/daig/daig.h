@@ -217,14 +217,6 @@ public:
   void setTransferHook(TransferFn Fn) { Hook = std::move(Fn); }
   void setOnCellEmptied(EmptiedFn Fn) { OnCellEmptied = std::move(Fn); }
 
-  /// Redirects work counters to \p S (nullptr detaches). The parallel
-  /// engine points each instance's DAIG at a private per-pass sink so
-  /// concurrent instances never share a Statistics struct, then merges the
-  /// sinks at the pass barrier in deterministic order. Does NOT re-attach
-  /// the memo table's sink (see the constructor note: memo attachment is
-  /// the table owner's decision).
-  void setStatistics(Statistics *S) { Stats = S; }
-
   const CfgInfo &info() const { return *Info; }
   bool valid() const { return Info->valid(); }
 
@@ -722,37 +714,6 @@ public:
     Name N = Info->isLoopHead(L) ? fixCellName(L, Ctx)
                                  : stateCellName(L, Ctx);
     return cellHasValue(N);
-  }
-
-  /// The materialized answer queryLocation(\p L) would return, WITHOUT
-  /// evaluating anything: nullopt unless the answer is entirely present in
-  /// filled cells (the locationValueReady condition). The parallel engine
-  /// uses this to freeze a read-only snapshot of callee exit summaries
-  /// before a parallel pass: peeking never mutates the DAIG, so it is safe
-  /// against the same instance being observed from the merge loop while no
-  /// worker owns it.
-  std::optional<Elem> peekLocation(Loc L) const {
-    if (L >= Info->Reachable.size() || !Info->Reachable[L])
-      return D::bottom(); // matches queryLocation: unreachable answers ⊥
-    CountCtx Ctx;
-    for (Loc H : Info->LoopNestOf[L]) {
-      if (H == L)
-        break;
-      Name FixDest = fixCellName(H, Ctx);
-      auto FixIt = Cells.find(FixDest);
-      if (FixIt == Cells.end() || !FixIt->second.hasValue())
-        return std::nullopt;
-      if (!Degraded.empty() && Degraded.count(FixDest))
-        return std::get<Elem>(*FixIt->second.V); // degraded fix answers
-      auto LIt = Loops.find(FixDest);
-      Ctx[H] = LIt == Loops.end() ? 0u : LIt->second.K - 1;
-    }
-    Name N = Info->isLoopHead(L) ? fixCellName(L, Ctx)
-                                 : stateCellName(L, Ctx);
-    auto It = Cells.find(N);
-    if (It == Cells.end() || !It->second.hasValue())
-      return std::nullopt;
-    return std::get<Elem>(*It->second.V);
   }
 
   //===--------------------------------------------------------------------===//

@@ -67,20 +67,9 @@ public:
       Stats = nullptr;
   }
 
-  /// While bypassed, lookup() always misses (without counting) and store()
-  /// is a no-op — the table behaves as if absent, which is always sound
-  /// (dropping entries is sound, Section 2.2). The parallel engine bypasses
-  /// its shared table for the duration of a parallel pass: the LRU list is
-  /// not safe for concurrent mutation, and a locked shared LRU would make
-  /// hit/miss counts (and hence which evaluations are skipped) depend on
-  /// thread schedule — bypassing keeps every parallel pass deterministic.
-  void setBypassed(bool On) { Bypassed = On; }
-
   /// Returns the memoized result for \p Key, if present, marking the entry
   /// most-recently-used.
   std::optional<Elem> lookup(Name Key) {
-    if (Bypassed)
-      return std::nullopt;
     DAI_FAULT_POINT(Memo); // at entry: an aborted lookup mutates nothing
     auto It = Table.find(Key.id());
     if (It == Table.end()) {
@@ -99,8 +88,6 @@ public:
   /// Records \p Key ↦ \p Value, evicting least-recently-used entries beyond
   /// the cap.
   void store(Name Key, Elem Value) {
-    if (Bypassed)
-      return;
     DAI_FAULT_POINT(Memo); // at entry: an aborted store leaves the LRU and
                            // table untouched (entries are pure, keyed by
                            // value hashes, so skipping a store is sound)
@@ -154,7 +141,6 @@ private:
   }
 
   size_t MaxEntries;
-  bool Bypassed = false;
   Statistics *Stats = nullptr;
   std::unordered_map<NameId, Entry, IdHash> Table;
   std::list<NameId> Lru; ///< Front = most recent; back is evicted.

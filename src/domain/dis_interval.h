@@ -34,7 +34,7 @@ namespace dai {
 
 /// The per-variable partition bound K (≥ 1). Process-global and read with
 /// relaxed atomics: benches and tests set it once before running analysis;
-/// parallel engine workers only ever read it.
+/// corpus workers only ever read it.
 unsigned disIntervalMaxPartitions();
 void setDisIntervalMaxPartitions(unsigned K);
 

@@ -137,7 +137,7 @@ private:
 
 /// Installs \p P as the process-global policy consulted by AnyDomain
 /// (nullptr uninstalls). The caller keeps ownership; install before the
-/// engine runs — the policy is read concurrently by parallel workers.
+/// engine runs — the policy is read concurrently by corpus workers.
 void installFunctionDomainPolicy(const FunctionDomainPolicy *P);
 const FunctionDomainPolicy *installedFunctionDomainPolicy();
 
@@ -188,7 +188,7 @@ struct AnyDomain {
                        const Stmt &CallSite);
 
   /// Binds the process-wide default domain (false if \p Key is unknown).
-  /// Bind before analysis threads start; parallel workers only read it.
+  /// Bind before analysis threads start; corpus workers only read it.
   static bool bindDefault(const std::string &Key);
   static const DomainVTable *boundDefault();
 

@@ -27,21 +27,6 @@
 /// remains fine-grained, and the shared memo table recovers most of the
 /// dropped work).
 ///
-/// Parallel execution (setParallelism): (function, context) instances are
-/// independent except at summary boundaries, so analyzeAllFromMain can run
-/// the not-yet-quiesced instances of each pass concurrently on a
-/// work-stealing TaskPool. Each parallel pass is Jacobi-style: workers
-/// analyze against a FROZEN snapshot of callee exit summaries and buffer
-/// the entry contributions they discover per instance; the main thread then
-/// merges buffers in deterministic (instance-key, discovery) order,
-/// broadcasts changed exits through the usual dirty-exit path, and repeats
-/// until quiescent. During a pass no shared engine state is written — the
-/// transfer hook reads the snapshot and appends to its own instance's
-/// buffer — so instances need no locks, and pass content is independent of
-/// thread schedule (the shared memo table is bypassed for the pass's
-/// duration for the same reason). See docs/architecture.md, "Parallel
-/// execution model".
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAI_INTERPROC_ENGINE_H
@@ -50,12 +35,10 @@
 #include "daig/daig.h"
 #include "interproc/call_graph.h"
 #include "interproc/context.h"
-#include "support/task_pool.h"
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,22 +93,6 @@ public:
   Statistics &statistics() { return Stats; }
   MemoTable<D> &memoTable() { return Memo; }
 
-  /// Sets the number of threads analyzeAllFromMain may use (0 = hardware
-  /// concurrency). At 1 (the default) every path is the serial engine,
-  /// bit-identical counters included. At N ≥ 2 batch analysis runs
-  /// pass-parallel (see the file header); query answers are identical to
-  /// serial whenever entry widening does not fire mid-quiescence, and the
-  /// parallel-vs-serial equivalence suite plus the bench cross-checks
-  /// assert answer/verdict equality empirically. Budgeted analyses
-  /// (budgetActive()) always take the serial path: budget state is
-  /// thread_local and degradation order is part of the audit contract.
-  void setParallelism(unsigned N) {
-    Threads = N == 0 ? TaskPool::hardwareParallelism() : N;
-    if (Threads <= 1)
-      Pool.reset();
-  }
-  unsigned parallelism() const { return Threads; }
-
   /// Demands the abstract state at \p L in the root (main) instance.
   ///
   /// Queries iterate to quiescence: a pass may grow a callee's entry (a new
@@ -168,14 +135,11 @@ public:
   /// Demands every location of every instance reachable from main. Returns
   /// the number of instances analyzed.
   size_t analyzeAllFromMain() {
-    if (Threads > 1 && !budgetActive())
-      return analyzeAllFromMainParallel();
     budgetState().TaintPending = false; // top-level query: fresh frame
     Instance &Root = instanceFor(rootKey(), /*Seed=*/true);
     Root.G->queryAllLocations();
     // Demanding main may create callee instances, whose full analysis may
     // create more; iterate to a fixed point over the instance set.
-    size_t Analyzed = 1;
     uint64_t Passes = 0;
     bool Progress = true;
     while (Progress) {
@@ -195,7 +159,6 @@ public:
           continue;
         I.FullyQueried = true;
         I.G->queryAllLocations();
-        ++Analyzed;
         Progress = true;
       }
       if (drainDirtyExits())
@@ -287,8 +250,6 @@ public:
     Instances.clear();
     SummaryConsumers.clear();
     PendingDirtyExits.clear();
-    SnapshotExits.clear();
-    LastBroadcastExit.clear();
   }
 
   /// Invokes \p Fn(key, daig) for every constructed instance.
@@ -402,20 +363,6 @@ private:
     bool Seeded = false;       ///< True for the root or once contributed-to.
     bool FullyQueried = false; ///< analyzeAllFromMain bookkeeping.
     unsigned EntryGrowths = 0; ///< Widening-delay counter for entry updates.
-
-    /// One call-site evaluation buffered during a parallel pass; applied
-    /// (record + refreshEntry, in discovery order) at the merge barrier.
-    struct PendingCall {
-      InstanceKey Callee;
-      uint64_t SiteHash;
-      Elem Contribution;
-    };
-    /// Parallel-pass scratch, owned exclusively by the one worker
-    /// analyzing this instance during a pass (instances never share a
-    /// worker mid-task), merged and cleared on the main thread after the
-    /// pass barrier.
-    std::vector<PendingCall> ParallelCalls;
-    Statistics ParallelStats; ///< Per-pass private sink (no shared Stats).
   };
   std::map<InstanceKey, std::unique_ptr<Instance>> Instances;
 
@@ -426,188 +373,6 @@ private:
   /// Exit cells dirtied during an edit, processed by drainDirtyExits.
   std::vector<InstanceKey> PendingDirtyExits;
   bool InDirtyDrain = false;
-
-  //===--------------------------------------------------------------------===//
-  // Parallel execution mode (setParallelism; see the file header)
-  //===--------------------------------------------------------------------===//
-
-  unsigned Threads = 1;
-  std::unique_ptr<TaskPool> Pool;
-  /// True exactly while a parallel pass's workers run; flips the transfer
-  /// hook to the snapshot-reading, buffer-appending resolveCallParallel.
-  std::atomic<bool> InParallelPhase{false};
-  /// The frozen callee-summary view served to every worker of the current
-  /// pass: a copy of LastBroadcastExit taken at the pass start.
-  std::map<InstanceKey, Elem> SnapshotExits;
-  /// The last exit value each instance BROADCAST (i.e. the newest value any
-  /// parallel consumer can have read). A recomputed exit is compared to
-  /// this — not to the currently materialized cell — before invalidating
-  /// consumers: an instance whose exit was dirtied and then recomputed to
-  /// the same value must NOT re-invalidate (convergence), while a consumer
-  /// that read the stale broadcast of a since-changed exit MUST be
-  /// invalidated even if the cell was momentarily unmaterialized.
-  std::map<InstanceKey, Elem> LastBroadcastExit;
-
-  /// Pass-parallel analyzeAllFromMain: per pass, analyze every
-  /// not-yet-quiesced instance concurrently against the frozen summary
-  /// snapshot, then merge deterministically and broadcast changed exits.
-  size_t analyzeAllFromMainParallel() {
-    budgetState().TaintPending = false; // top-level query: fresh frame
-    instanceFor(rootKey(), /*Seed=*/true);
-    if (!Pool || Pool->parallelism() != Threads)
-      Pool = std::make_unique<TaskPool>(Threads);
-    uint64_t Passes = 0;
-    for (;;) {
-      if (++Passes >= analysisLimits().MaxQuiescencePasses)
-        throw AnalysisDivergence(
-            "interprocedural quiescence (analyzeAllFromMain parallel)",
-            Passes);
-      // Deterministic worklist: Instances is key-sorted.
-      std::vector<InstanceKey> Work;
-      for (const auto &[Key, Inst] : Instances)
-        if (!Inst->FullyQueried)
-          Work.push_back(Key);
-      if (Work.empty()) {
-        if (!drainDirtyExits())
-          break;
-        continue;
-      }
-      runParallelPass(Work);
-      mergeParallelPass(Work);
-    }
-    SnapshotExits.clear();
-    return Instances.size();
-  }
-
-  /// The worker half of one pass: freeze the snapshot, point each instance
-  /// at a private Statistics sink, and run one task per instance on the
-  /// pool. No shared engine state is mutated until the barrier returns.
-  void runParallelPass(const std::vector<InstanceKey> &Work) {
-    TraceSpan Sp("interproc.parallel_pass", Work.size(), Threads);
-    SnapshotExits = LastBroadcastExit;
-    std::vector<TaskPool::Task> Tasks;
-    Tasks.reserve(Work.size());
-    for (const InstanceKey &Key : Work) {
-      Instance *I = Instances.at(Key).get();
-      I->FullyQueried = true;
-      I->ParallelCalls.clear();
-      I->ParallelStats.reset();
-      I->G->setStatistics(&I->ParallelStats);
-      Tasks.push_back([I] { I->G->queryAllLocations(); });
-    }
-    // Bypass (not lock) the shared memo for the pass: a locked shared LRU
-    // would make hit/miss — and hence which evaluations are skipped —
-    // depend on thread schedule; bypassing keeps the pass deterministic.
-    Memo.setBypassed(true);
-    InParallelPhase.store(true, std::memory_order_release);
-    try {
-      Pool->run(std::move(Tasks));
-    } catch (...) {
-      // A task threw (fault injection on the calling thread is the only
-      // expected source — budgets force the serial path). Every task still
-      // ran once; discard the pass's buffers so no partial merge can break
-      // the entry-covers-contributions audit, and leave the worklist
-      // instances re-analyzable.
-      InParallelPhase.store(false, std::memory_order_release);
-      Memo.setBypassed(false);
-      for (const InstanceKey &Key : Work) {
-        Instance &I = *Instances.at(Key);
-        I.G->setStatistics(&Stats);
-        Stats.mergeFrom(I.ParallelStats);
-        I.ParallelStats.reset();
-        I.ParallelCalls.clear();
-        I.FullyQueried = false;
-      }
-      throw;
-    }
-    InParallelPhase.store(false, std::memory_order_release);
-    Memo.setBypassed(false);
-  }
-
-  /// The barrier half: fold per-instance sinks into the engine Statistics,
-  /// apply buffered contributions (both in deterministic order), and
-  /// broadcast exits that changed since their last broadcast.
-  void mergeParallelPass(const std::vector<InstanceKey> &Work) {
-    TraceSpan Sp("interproc.parallel_merge", Work.size());
-    for (const InstanceKey &Key : Work) {
-      Instance &I = *Instances.at(Key);
-      I.G->setStatistics(&Stats);
-      Stats.mergeFrom(I.ParallelStats);
-      I.ParallelStats.reset();
-    }
-    for (const InstanceKey &Key : Work) {
-      Instance &CallerInst = *Instances.at(Key);
-      for (auto &PC : CallerInst.ParallelCalls) {
-        // Replays the serial resolveCall bookkeeping, one buffered call at
-        // a time: record the contribution, grow the callee entry, register
-        // the consumer edge.
-        Instance &CalleeInst = instanceFor(PC.Callee, /*Seed=*/false);
-        auto SiteKey = std::make_pair(Key, PC.SiteHash);
-        auto CIt = CalleeInst.Contributions.find(SiteKey);
-        bool Changed = CIt == CalleeInst.Contributions.end() ||
-                       !D::equal(CIt->second, PC.Contribution);
-        if (Changed) {
-          // Same exception guard as resolveCall: never leave a recorded
-          // contribution the entry does not cover.
-          bool HadOld = CIt != CalleeInst.Contributions.end();
-          Elem Old = HadOld ? CIt->second : D::bottom();
-          CalleeInst.Contributions[SiteKey] = std::move(PC.Contribution);
-          try {
-            refreshEntry(PC.Callee, CalleeInst, /*AllowShrink=*/false);
-          } catch (...) {
-            if (HadOld)
-              CalleeInst.Contributions[SiteKey] = std::move(Old);
-            else
-              CalleeInst.Contributions.erase(SiteKey);
-            throw;
-          }
-        }
-        SummaryConsumers[PC.Callee].insert(Key);
-      }
-      CallerInst.ParallelCalls.clear();
-    }
-    // Broadcast: any materialized exit that differs from its last
-    // broadcast invalidates its consumers through the normal dirty-exit
-    // path. Exits left unmaterialized (dirtied by an entry refresh above)
-    // broadcast after their owner re-quiesces in a later pass.
-    for (auto &[Key, Inst] : Instances) {
-      std::optional<Elem> V = Inst->G->peekLocation(cfgOf(Key.Fn)->exit());
-      if (!V)
-        continue;
-      auto LIt = LastBroadcastExit.find(Key);
-      if (LIt != LastBroadcastExit.end() && D::equal(LIt->second, *V))
-        continue;
-      if (LIt != LastBroadcastExit.end())
-        LIt->second = std::move(*V);
-      else
-        LastBroadcastExit.emplace(Key, std::move(*V));
-      PendingDirtyExits.push_back(Key);
-    }
-    drainDirtyExits();
-  }
-
-  /// The transfer hook while InParallelPhase: reads the frozen snapshot
-  /// and appends to the caller instance's private buffer — no shared maps
-  /// are touched, no instances created, nothing demanded across DAIGs.
-  Elem resolveCallParallel(const InstanceKey &Caller, const Stmt &S,
-                           const Elem &In) {
-    Instance &CallerInst = *Instances.at(Caller); // read-only map probe
-    Statistics &WS = CallerInst.ParallelStats;
-    if (WS.CallSummaries != UINT64_MAX)
-      ++WS.CallSummaries;
-    if (D::isBottom(In))
-      return D::bottom();
-    const Function *Callee = Prog.find(S.Callee);
-    if (!Callee) // undefined callee: havoc via the domain's default
-      return D::transfer(S, In);
-    InstanceKey CalleeKey{internSymbol(S.Callee),
-                          Caller.Ctx.extend(CallSite{Caller.Fn, S.hash()}, K)};
-    CallerInst.ParallelCalls.push_back(
-        {CalleeKey, S.hash(), D::enterCall(In, S, Callee->Params)});
-    auto It = SnapshotExits.find(CalleeKey);
-    Elem Summary = It != SnapshotExits.end() ? It->second : D::bottom();
-    return D::exitCall(In, Summary, S);
-  }
 
   /// The entry seed for a (function, context) instance. Domains that
   /// support per-function selection (the registry's AnyDomain with an
@@ -649,8 +414,6 @@ private:
 
   /// The transfer hook: demanded callee summaries (Section 2.3).
   Elem resolveCall(const InstanceKey &Caller, const Stmt &S, const Elem &In) {
-    if (InParallelPhase.load(std::memory_order_relaxed))
-      return resolveCallParallel(Caller, S, In);
     if (Stats.CallSummaries != UINT64_MAX)
       ++Stats.CallSummaries;
     if (D::isBottom(In))

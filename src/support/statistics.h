@@ -53,11 +53,10 @@ struct Statistics {
   uint64_t domainOps() const { return Transfers + Joins + Widens; }
 
   /// Accumulates another counter set into this one (all fields are monotone
-  /// counters, so addition is the correct merge). This is the cross-thread
-  /// aggregation primitive: the parallel engine gives each (function,
-  /// context) instance a private Statistics sink for the duration of a
-  /// parallel pass and folds them back into the engine's sink, in
-  /// deterministic key order, at the pass barrier.
+  /// counters, so addition is the correct merge). This is the aggregation
+  /// primitive for runs that span several engines: each engine owns its
+  /// Statistics (one engine per TaskPool task in corpus runs), and callers
+  /// fold them into a total once the engines are done.
   void mergeFrom(const Statistics &O) {
     Transfers += O.Transfers;
     Joins += O.Joins;

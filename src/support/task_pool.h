@@ -6,9 +6,8 @@
 ///
 /// \file
 /// A small work-stealing thread pool for running batches of independent
-/// analysis tasks — the scheduler behind InterprocEngine's parallel mode
-/// (one task per (function, context) instance within a quiescence pass)
-/// and the batch-verification bench (one task per corpus program).
+/// analysis tasks — corpus-level parallelism: one task per program, each
+/// running its own serial InterprocEngine (the batch-verification bench).
 ///
 /// Design:
 ///  - Per-worker deques. run() deals the batch round-robin across all

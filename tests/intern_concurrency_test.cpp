@@ -197,7 +197,7 @@ TEST(InternConcurrency, SymbolLookupNeverInterns) {
 }
 
 TEST(InternConcurrency, MixedNameAndSymbolTraffic) {
-  // Both tables hammered at once (the parallel engine's actual traffic
+  // Both tables hammered at once (the corpus workers' actual traffic
   // shape: names for DAIG cells, symbols for gensyms and call keys).
   std::vector<std::thread> Threads;
   std::vector<std::vector<std::pair<NameId, SymbolId>>> Out(kThreads);

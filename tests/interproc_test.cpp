@@ -248,4 +248,50 @@ TEST(Interproc, SummariesAreReusedAcrossQueries) {
   EXPECT_EQ(E.instanceCount(), 2u); // main + work
 }
 
+TEST(Interproc, DiamondCallGraphExactAnswer) {
+  // main → {f, g} → h: with K=1 the two h contexts stay separate, so the
+  // constants survive whole-program analysis.
+  Program P = mustLower(R"(
+    function h(x) { return x + 1; }
+    function f(x) { var a = h(x); return a + 10; }
+    function g(x) { var a = h(x); return a + 20; }
+    function main() {
+      var u = f(1);
+      var v = g(2);
+      return u + v;
+    }
+  )");
+  InterprocEngine<ConstPropDomain> E(std::move(P), "main", /*K=*/1);
+  ASSERT_TRUE(E.valid()) << E.error();
+  E.analyzeAllFromMain();
+  // f(1) = h(1)+10 = 12; g(2) = h(2)+20 = 23; main returns 35.
+  ConstState Exit = E.queryMain(E.cfgOf("main")->exit());
+  EXPECT_EQ(Exit.get(RetVar), std::optional<int64_t>(35));
+  EXPECT_EQ(E.auditInvariants(), "");
+}
+
+TEST(Interproc, DeepChainNeedsMultiplePasses) {
+  // A four-deep chain: whole-program analysis must create and quiesce all
+  // five instances, and agree with a demand-only query of main's exit.
+  Program P = mustLower(R"(
+    function d(x) { return x * 2; }
+    function c(x) { var a = d(x); return a + 1; }
+    function b(x) { var a = c(x); return a + 1; }
+    function a(x) { var r = b(x); return r + 1; }
+    function main() { var r = a(5); return r; }
+  )");
+  InterprocEngine<ConstPropDomain> Demand(P, "main", /*K=*/2);
+  ASSERT_TRUE(Demand.valid());
+  ConstState Want = Demand.queryMain(Demand.cfgOf("main")->exit());
+
+  InterprocEngine<ConstPropDomain> E(std::move(P), "main", /*K=*/2);
+  ASSERT_TRUE(E.valid());
+  size_t N = E.analyzeAllFromMain();
+  EXPECT_EQ(N, 5u); // main, a, b, c, d
+  ConstState Got = E.queryMain(E.cfgOf("main")->exit());
+  EXPECT_TRUE(ConstPropDomain::equal(Got, Want));
+  EXPECT_EQ(Got.get(RetVar), std::optional<int64_t>(13)); // 5*2+1+1+1
+  EXPECT_EQ(E.auditInvariants(), "");
+}
+
 } // namespace

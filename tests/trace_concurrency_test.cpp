@@ -1,18 +1,17 @@
-//===-- tests/trace_concurrency_test.cpp - Traced parallel runs -----------===//
+//===-- tests/trace_concurrency_test.cpp - Traced concurrent runs ---------===//
 //
 // Part of dai-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tracing under the parallel interprocedural engine (the tsan lane's
-/// observability suite): with tracing ENABLED and work running across
-/// TaskPool workers, the per-thread rings record concurrently with no
-/// data races (single-writer slots, release-published heads), the export
-/// is ts-monotone per tid and tags worker events with distinct tids, the
-/// Chrome JSON file passes the same structural checks
-/// scripts/check_trace_json.sh enforces, and metric repatriation keeps
-/// caller-side totals schedule-independent.
+/// Tracing under corpus-level parallelism (the tsan lane's observability
+/// suite): with tracing ENABLED and independent serial InterprocEngines
+/// running one per TaskPool task, the per-thread rings record concurrently
+/// with no data races (single-writer slots, release-published heads), the
+/// export is ts-monotone per tid and tags worker events with distinct
+/// tids, and the Chrome JSON file passes the same structural checks
+/// scripts/check_trace_json.sh enforces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +40,7 @@ using Engine = InterprocEngine<IntervalDomain>;
 Program makeWorkload(uint64_t Seed) {
   WorkloadOptions Opts;
   Opts.Seed = Seed;
-  Opts.PctCallStmt = 20; // call-heavy: more instances to parallelize over
+  Opts.PctCallStmt = 20; // call-heavy: several instances per engine
   Opts.HelperCount = 5;
   WorkloadGenerator Gen(Opts);
   Program P = Gen.makeInitialProgram();
@@ -50,17 +49,41 @@ Program makeWorkload(uint64_t Seed) {
   return P;
 }
 
-TEST(TraceConcurrency, ParallelEngineRecordsScheduleSafely) {
-  Program P = makeWorkload(7);
-  Engine E(std::move(P), "main", /*K=*/1);
-  ASSERT_TRUE(E.valid()) << E.error();
-  E.setParallelism(4);
+constexpr unsigned kWorkers = 4;
 
+/// The corpus pattern: one program per task, each analyzed by its own
+/// serial engine on a kWorkers pool. The tasks meet at a barrier no single
+/// thread can pass alone, so with kWorkers tasks on kWorkers threads every
+/// engine runs on a distinct thread and all of them overlap. Returns the
+/// total number of instances analyzed.
+size_t analyzeCorpus(uint64_t Seed) {
+  std::vector<Program> Programs;
+  for (unsigned I = 0; I < kWorkers; ++I)
+    Programs.push_back(makeWorkload(Seed + I));
+  TaskPool Pool(kWorkers);
+  std::atomic<unsigned> Arrived{0};
+  std::atomic<size_t> Instances{0};
+  std::vector<TaskPool::Task> Tasks;
+  for (Program &P : Programs)
+    Tasks.push_back([&Arrived, &Instances, &P] {
+      Arrived.fetch_add(1);
+      while (Arrived.load() < kWorkers)
+        std::this_thread::yield();
+      Engine E(std::move(P), "main", /*K=*/1);
+      EXPECT_TRUE(E.valid()) << E.error();
+      Instances.fetch_add(E.analyzeAllFromMain());
+      EXPECT_EQ(E.auditInvariants(), "");
+    });
+  Pool.run(std::move(Tasks));
+  return Instances.load();
+}
+
+TEST(TraceConcurrency, CorpusEnginesRecordScheduleSafely) {
   setTracingEnabled(true);
   resetTrace();
-  size_t Instances = E.analyzeAllFromMain();
+  size_t Instances = analyzeCorpus(7);
   setTracingEnabled(false);
-  EXPECT_GT(Instances, 1u);
+  EXPECT_GT(Instances, size_t(kWorkers));
 
   std::vector<TaggedTraceEvent> Evs = collectTrace();
   ASSERT_FALSE(Evs.empty());
@@ -68,26 +91,24 @@ TEST(TraceConcurrency, ParallelEngineRecordsScheduleSafely) {
 
   // Export order: ts monotone per tid (what chrome://tracing relies on and
   // check_trace_json.sh asserts on the emitted file).
-  std::set<uint32_t> Tids;
-  for (size_t I = 0; I < Evs.size(); ++I) {
-    Tids.insert(Evs[I].Tid);
-    if (I > 0 && Evs[I - 1].Tid == Evs[I].Tid) {
+  for (size_t I = 1; I < Evs.size(); ++I)
+    if (Evs[I - 1].Tid == Evs[I].Tid) {
       EXPECT_LE(Evs[I - 1].E.TsNs, Evs[I].E.TsNs) << "event " << I;
     }
-  }
 
-  // The traced boundaries of a parallel run: per-task spans from the pool
-  // and analysis spans from inside the tasks.
-  bool SawTask = false, SawCellEval = false;
+  // The traced boundaries of a corpus run: per-task spans from the pool
+  // and analysis spans from inside the tasks, each engine's on the ring of
+  // the worker that ran it.
+  std::set<uint32_t> TaskTids, EvalTids;
   for (const TaggedTraceEvent &T : Evs) {
     std::string Nm = T.E.Nm;
-    SawTask |= Nm == "taskpool.task";
-    SawCellEval |= Nm == "daig.cell_eval";
+    if (Nm == "taskpool.task")
+      TaskTids.insert(T.Tid);
+    else if (Nm == "daig.cell_eval")
+      EvalTids.insert(T.Tid);
   }
-  EXPECT_TRUE(SawTask);
-  EXPECT_TRUE(SawCellEval);
-
-  EXPECT_GE(Tids.size(), 1u);
+  EXPECT_EQ(TaskTids.size(), size_t(kWorkers));
+  EXPECT_EQ(EvalTids, TaskTids) << "expected one analyzing ring per worker";
 
   resetTrace();
 }
@@ -129,15 +150,10 @@ TEST(TraceConcurrency, WorkerRingsRecordConcurrently) {
   resetTrace();
 }
 
-TEST(TraceConcurrency, ChromeExportOfAParallelRunIsWellFormed) {
-  Program P = makeWorkload(11);
-  Engine E(std::move(P), "main", /*K=*/1);
-  ASSERT_TRUE(E.valid()) << E.error();
-  E.setParallelism(4);
-
+TEST(TraceConcurrency, ChromeExportOfACorpusRunIsWellFormed) {
   setTracingEnabled(true);
   resetTrace();
-  E.analyzeAllFromMain();
+  analyzeCorpus(11);
   setTracingEnabled(false);
 
   const char *Path = "trace_concurrency_export.json";
@@ -160,18 +176,13 @@ TEST(TraceConcurrency, ChromeExportOfAParallelRunIsWellFormed) {
   resetTrace();
 }
 
-/// Tracing toggled off again: a parallel run records NOTHING — the
+/// Tracing toggled off again: a corpus run records NOTHING — the
 /// disabled-hook contract the bench gate's *_trace_* zero-assert enforces
 /// end to end.
-TEST(TraceConcurrency, UntracedParallelRunRecordsNothing) {
-  Program P = makeWorkload(13);
-  Engine E(std::move(P), "main", /*K=*/1);
-  ASSERT_TRUE(E.valid()) << E.error();
-  E.setParallelism(4);
-
+TEST(TraceConcurrency, UntracedCorpusRunRecordsNothing) {
   setTracingEnabled(false);
   resetTrace();
-  E.analyzeAllFromMain();
+  EXPECT_GT(analyzeCorpus(13), size_t(kWorkers));
   EXPECT_EQ(traceStats().EventsRecorded, 0u);
   EXPECT_EQ(traceStats().EventsDropped, 0u);
   EXPECT_TRUE(collectTrace().empty());
