@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bench/flags.h"
 #include "daig/daig.h"
 #include "domain/octagon.h"
 #include "interproc/engine.h"
@@ -65,10 +66,15 @@ int main(int argc, char **argv) {
   unsigned Edits = 250;
   uint64_t Seed = 7;
   for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--edits") && I + 1 < argc)
-      Edits = static_cast<unsigned>(std::strtol(argv[++I], nullptr, 10));
-    else if (!std::strcmp(argv[I], "--seed") && I + 1 < argc)
-      Seed = static_cast<uint64_t>(std::strtol(argv[++I], nullptr, 10));
+    if (I + 1 >= argc ||
+        (std::strcmp(argv[I], "--edits") && std::strcmp(argv[I], "--seed"))) {
+      std::fprintf(stderr, "usage: %s [--edits N] [--seed S]\n", argv[0]);
+      return 1;
+    }
+    if (!std::strcmp(argv[I], "--edits"))
+      Edits = parseCount("--edits", argv[++I], 1);
+    else
+      Seed = parseCount<uint64_t>("--seed", argv[++I], 0);
   }
 
   std::printf("# Ablation A1: auxiliary memo table on/off, demand-driven-"

@@ -53,6 +53,7 @@
 
 #include "analysis/checker.h"
 #include "analysis/checks_db.h"
+#include "bench/flags.h"
 #include "bench/corpus/array_programs.h"
 #include "cfg/lowering.h"
 #include "daig/daig.h"
@@ -66,10 +67,7 @@
 #include "workload/generator.h"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -546,33 +544,7 @@ void writeJson(const Options &Opt, const CorpusResult &C,
 
 /// Largest accepted --threads entry: a typo must not ask TaskPool for
 /// thousands of workers.
-constexpr unsigned long kMaxThreads = 256;
-
-/// Parses \p S as a comma-separated list of positive decimal integers, each
-/// at most \p Max (one entry when \p Single). Exits 1 with a message naming
-/// \p Flag on non-numeric input, a sign, zero, trailing junk or an entry
-/// above \p Max — before any thread starts.
-std::vector<unsigned> parseCounts(const char *Flag, const char *S,
-                                  unsigned long Max, bool Single = false) {
-  std::vector<unsigned> Out;
-  const char *P = S;
-  do {
-    char *End = nullptr;
-    errno = 0;
-    unsigned long V = std::isdigit(static_cast<unsigned char>(*P))
-                          ? std::strtoul(P, &End, 10)
-                          : 0;
-    if (V == 0 || errno == ERANGE || V > Max ||
-        (*End != '\0' && (*End != ',' || Single))) {
-      std::fprintf(stderr, "bad %s value '%s': expected %s in 1..%lu\n",
-                   Flag, S, Single ? "an integer" : "integers", Max);
-      std::exit(1);
-    }
-    Out.push_back(static_cast<unsigned>(V));
-    P = *End == ',' ? End + 1 : End;
-  } while (*P);
-  return Out;
-}
+constexpr unsigned kMaxThreads = 256;
 
 void usage(const char *Argv0) {
   std::printf(
@@ -596,15 +568,13 @@ int main(int Argc, char **Argv) {
       return Argv[++I];
     };
     if (!std::strcmp(Argv[I], "--edits")) {
-      Opt.Edits = static_cast<unsigned>(std::strtoul(next("--edits"), nullptr, 10));
+      Opt.Edits = parseCount("--edits", next("--edits"), 1);
     } else if (!std::strcmp(Argv[I], "--seed")) {
-      Opt.Seed = std::strtoull(next("--seed"), nullptr, 10);
+      Opt.Seed = parseCount<uint64_t>("--seed", next("--seed"), 0);
     } else if (!std::strcmp(Argv[I], "--repeats")) {
-      Opt.Repeats = static_cast<unsigned>(
-          std::strtoul(next("--repeats"), nullptr, 10));
+      Opt.Repeats = parseCount("--repeats", next("--repeats"), 1);
     } else if (!std::strcmp(Argv[I], "--pct-assert")) {
-      Opt.PctAssert = static_cast<unsigned>(
-          std::strtoul(next("--pct-assert"), nullptr, 10));
+      Opt.PctAssert = parseCount("--pct-assert", next("--pct-assert"), 0, 100);
     } else if (!std::strcmp(Argv[I], "--domain")) {
       const char *V = next("--domain");
       if (!std::strcmp(V, "interval"))
@@ -623,12 +593,11 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (!std::strcmp(Argv[I], "--sizes")) {
-      Opt.SweepSizes = parseCounts("--sizes", next("--sizes"), UINT_MAX);
+      Opt.SweepSizes = parseCounts("--sizes", next("--sizes"), 1);
     } else if (!std::strcmp(Argv[I], "--threads")) {
-      Opt.Threads = parseCounts("--threads", next("--threads"), kMaxThreads);
+      Opt.Threads = parseCounts("--threads", next("--threads"), 1, kMaxThreads);
     } else if (!std::strcmp(Argv[I], "--rounds")) {
-      Opt.ParallelRounds =
-          parseCounts("--rounds", next("--rounds"), UINT_MAX, true).front();
+      Opt.ParallelRounds = parseCount("--rounds", next("--rounds"), 1);
     } else if (!std::strcmp(Argv[I], "--json")) {
       Opt.JsonPath = next("--json");
     } else if (!std::strcmp(Argv[I], "--no-json")) {

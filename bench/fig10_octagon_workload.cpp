@@ -80,6 +80,7 @@
 #include "analysis/batch_interpreter.h"
 #include "analysis/checker.h"
 #include "analysis/checks_db.h"
+#include "bench/flags.h"
 #include "bench/corpus/array_programs.h"
 #include "cfg/lowering.h"
 #include "domain/array_smash.h"
@@ -555,36 +556,36 @@ std::vector<ConfigResult> runConfigs(const std::vector<Config> &Configs,
   return Results;
 }
 
+/// Largest accepted --vars / --sizes entry: octagon closure is O((2v)^3)
+/// and a DBM holds (2v)^2 bounds, so a typo must not ask for gigabytes.
+constexpr unsigned kMaxVars = 1024;
+
 } // namespace
 
 int main(int argc, char **argv) {
   Options Opt;
   for (int I = 1; I < argc; ++I) {
-    auto next = [&](const char *Flag) -> long {
+    auto next = [&](const char *Flag) -> const char * {
       if (I + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", Flag);
         std::exit(1);
       }
-      return std::strtol(argv[++I], nullptr, 10);
+      return argv[++I];
     };
     if (!std::strcmp(argv[I], "--edits"))
-      Opt.Edits = static_cast<unsigned>(next("--edits"));
+      Opt.Edits = parseCount("--edits", next("--edits"), 1);
     else if (!std::strcmp(argv[I], "--trials"))
-      Opt.Trials = static_cast<unsigned>(next("--trials"));
+      Opt.Trials = parseCount("--trials", next("--trials"), 1);
     else if (!std::strcmp(argv[I], "--queries"))
-      Opt.Queries = static_cast<unsigned>(next("--queries"));
+      Opt.Queries = parseCount("--queries", next("--queries"), 1);
     else if (!std::strcmp(argv[I], "--seed"))
-      Opt.Seed = static_cast<uint64_t>(next("--seed"));
+      Opt.Seed = parseCount<uint64_t>("--seed", next("--seed"), 0);
     else if (!std::strcmp(argv[I], "--vars"))
-      Opt.Vars = static_cast<unsigned>(next("--vars"));
+      Opt.Vars = parseCount("--vars", next("--vars"), 1, kMaxVars);
     else if (!std::strcmp(argv[I], "--no-batch"))
       Opt.RunBatch = false;
     else if (!std::strcmp(argv[I], "--domain")) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --domain\n");
-        return 1;
-      }
-      const char *V = argv[++I];
+      const char *V = next("--domain");
       if (!std::strcmp(V, "octagon"))
         Opt.Domain = DomainChoice::Octagon;
       else if (!std::strcmp(V, "zone"))
@@ -606,29 +607,11 @@ int main(int argc, char **argv) {
         return 1;
       }
     } else if (!std::strcmp(argv[I], "--json")) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --json\n");
-        return 1;
-      }
-      Opt.JsonPath = argv[++I];
+      Opt.JsonPath = next("--json");
     } else if (!std::strcmp(argv[I], "--no-json"))
       Opt.JsonPath.clear();
     else if (!std::strcmp(argv[I], "--sizes")) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --sizes\n");
-        return 1;
-      }
-      Opt.SweepSizes.clear();
-      for (const char *P = argv[++I]; *P;) {
-        char *End = nullptr;
-        long V = std::strtol(P, &End, 10);
-        if (End == P || V <= 0) {
-          std::fprintf(stderr, "bad --sizes list\n");
-          return 1;
-        }
-        Opt.SweepSizes.push_back(static_cast<unsigned>(V));
-        P = (*End == ',') ? End + 1 : End;
-      }
+      Opt.SweepSizes = parseCounts("--sizes", next("--sizes"), 1, kMaxVars);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--edits N] [--trials N] [--queries N] "

@@ -12,19 +12,11 @@
 using namespace dai;
 
 bool CfgInfo::dominates(Loc A, Loc B) const {
-  // Walk the dominator tree upward from B. The entry dominates everything,
-  // and Idom[entry] == entry terminates the walk.
-  if (B >= Idom.size() || !Reachable[B] || !Reachable[A])
+  // Interval containment in the dominator tree's pre/post numbering.
+  if (A >= DomPre.size() || B >= DomPre.size() || !Reachable[A] ||
+      !Reachable[B])
     return false;
-  Loc Cur = B;
-  for (;;) {
-    if (Cur == A)
-      return true;
-    Loc Up = Idom[Cur];
-    if (Up == Cur)
-      return false;
-    Cur = Up;
-  }
+  return DomPre[A] <= DomPre[B] && DomPost[B] <= DomPost[A];
 }
 
 unsigned CfgInfo::fwdIndexOf(const Cfg &G, EdgeId Id) const {
@@ -78,6 +70,32 @@ void computePostorder(const Cfg &G, const Adjacency &Adj,
   }
 }
 
+/// Numbers the dominator tree in pre/post order with one iterative DFS, so
+/// that A dominates B iff A's [pre, post] interval contains B's.
+void numberDominatorTree(const Cfg &G, CfgInfo &Info) {
+  std::vector<std::vector<Loc>> Children(G.numLocs());
+  for (Loc L : Info.Rpo)
+    if (L != G.entry())
+      Children[Info.Idom[L]].push_back(L);
+  Info.DomPre.assign(G.numLocs(), 0);
+  Info.DomPost.assign(G.numLocs(), 0);
+  uint32_t Clock = 0;
+  std::vector<std::pair<Loc, size_t>> Stack;
+  Stack.emplace_back(G.entry(), 0);
+  Info.DomPre[G.entry()] = Clock++;
+  while (!Stack.empty()) {
+    auto &[L, NextIdx] = Stack.back();
+    if (NextIdx < Children[L].size()) {
+      Loc C = Children[L][NextIdx++];
+      Info.DomPre[C] = Clock++;
+      Stack.emplace_back(C, 0);
+      continue;
+    }
+    Info.DomPost[L] = Clock++;
+    Stack.pop_back();
+  }
+}
+
 } // namespace
 
 CfgInfo dai::analyzeCfg(const Cfg &G) {
@@ -125,6 +143,7 @@ CfgInfo dai::analyzeCfg(const Cfg &G) {
       }
     }
   }
+  numberDominatorTree(G, Info);
 
   // Back edges: Dst dominates Src. The paper (footnote 7) assumes at most
   // one back edge per header, which structured lowering guarantees.
@@ -204,24 +223,28 @@ CfgInfo dai::analyzeCfg(const Cfg &G) {
   }
 
   // Loop nesting per location, outermost first. Nested loop bodies are
-  // strictly contained in their enclosing bodies, so ordering by decreasing
-  // body size is a correct outermost-first order.
+  // strictly contained in their enclosing bodies, so visiting the loops by
+  // decreasing body size appends every location's heads outermost first.
+  // Each body is walked once: O(Σ body sizes) = O(locations · depth).
+  std::vector<Loc> Heads;
+  for (const auto &[Head, Body] : Info.NaturalLoops)
+    Heads.push_back(Head);
+  std::sort(Heads.begin(), Heads.end(), [&](Loc A, Loc B) {
+    size_t SA = Info.NaturalLoops[A].size(), SB = Info.NaturalLoops[B].size();
+    if (SA != SB)
+      return SA > SB;
+    return A < B;
+  });
   Info.LoopNestOf.assign(G.numLocs(), {});
-  for (Loc L = 0; L < G.numLocs(); ++L) {
-    if (!Info.Reachable[L])
-      continue;
-    std::vector<Loc> Heads;
-    for (const auto &[Head, Body] : Info.NaturalLoops)
-      if (Body.count(L))
-        Heads.push_back(Head);
-    std::sort(Heads.begin(), Heads.end(), [&](Loc A, Loc B) {
-      size_t SA = Info.NaturalLoops[A].size(), SB = Info.NaturalLoops[B].size();
-      if (SA != SB)
-        return SA > SB;
-      return A < B;
-    });
-    Info.LoopNestOf[L] = std::move(Heads);
-  }
+  for (Loc Head : Heads)
+    for (Loc L : Info.NaturalLoops[Head])
+      Info.LoopNestOf[L].push_back(Head);
+
+  // Per-head body lists in RPO (the head dominates its body, so it comes
+  // first), from one pass over Rpo.
+  for (Loc L : Info.Rpo)
+    for (Loc Head : Info.LoopNestOf[L])
+      Info.LoopBodyRpo[Head].push_back(L);
 
   // Forward-edge indexing and join points.
   for (const auto &[Id, E] : G.edges()) {

@@ -10,6 +10,13 @@
 /// DAIG construction (Definition A.2 of the paper) and of the paper's
 /// well-formedness requirement that programs be reducible flow graphs.
 ///
+/// Cost: O(E + Σ loop body sizes), up to log factors from the ordered
+/// containers. Dominators come from Cooper, Harvey & Kennedy's iterative
+/// algorithm; the dominator tree is then numbered in pre/post order, so
+/// every dominance test — including back-edge detection — is an O(1)
+/// interval check rather than a walk up the tree. Loop nesting and the
+/// per-head body lists are built by walking each natural-loop body once.
+///
 /// Definitions follow Appendix A: edges partition into forward edges E_f and
 /// back edges E_b (Dst dominates Src); each back edge determines a natural
 /// loop; join points are locations with *forward* in-degree ≥ 2 (a loop head
@@ -43,10 +50,17 @@ struct CfgInfo {
   std::vector<Loc> Rpo;        ///< Reverse postorder of reachable locations.
   std::vector<uint32_t> RpoIndex; ///< Loc → index in Rpo (or ~0u).
   std::vector<Loc> Idom;       ///< Immediate dominator (entry maps to itself).
+  /// Pre/post numbers of each reachable location in the dominator tree:
+  /// A dominates B iff [DomPre[A], DomPost[A]] contains [DomPre[B],
+  /// DomPost[B]].
+  std::vector<uint32_t> DomPre, DomPost;
 
   std::set<EdgeId> BackEdges;  ///< E_b: edges whose Dst dominates their Src.
   std::map<Loc, EdgeId> LoopBackEdge;   ///< Loop head → its unique back edge.
   std::map<Loc, std::set<Loc>> NaturalLoops; ///< Head → body (incl. head).
+  /// Head → its natural-loop body (incl. head) in reverse postorder; the
+  /// head comes first.
+  std::map<Loc, std::vector<Loc>> LoopBodyRpo;
   /// Loc → enclosing loop heads, outermost first. A loop head's own loop is
   /// included (last element).
   std::vector<std::vector<Loc>> LoopNestOf;
@@ -67,6 +81,7 @@ struct CfgInfo {
     return L < LoopNestOf.size() ? LoopNestOf[L].size() : 0;
   }
   bool isJoin(Loc L) const { return JoinPoints.count(L) != 0; }
+  /// True when reachable \p A dominates reachable \p B (reflexive). O(1).
   bool dominates(Loc A, Loc B) const;
 
   /// 1-based fwd-edges-to index of edge \p Id into its destination, or 0 if

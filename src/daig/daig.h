@@ -353,8 +353,11 @@ public:
   }
 
   /// Surgically splices an inserted statement into the DAIG — the common
-  /// 85% case of the paper's edit workload — in O(out-degree · iteration
-  /// copies) structural work plus forward dirtying, with NO reconstruction.
+  /// 85% case of the paper's edit workload — with NO reconstruction. The
+  /// cost is O(cells at L + out-degree · iteration copies) structural work
+  /// (L's cells come from the per-location index, not a scan of the DAIG)
+  /// plus forward dirtying, plus the post-edit CfgInfo, which the caller
+  /// has normally already derived through the shared Cfg::info() cache.
   ///
   /// Preconditions: the CFG already contains the insertion performed by
   /// cfg/edits.h insertStmtAt(L, S), whose result is \p R, and this DAIG
@@ -379,14 +382,12 @@ public:
     // Enumerate this DAIG's state cells at L across all iteration copies
     // (and, for the before-header shape, only the 0th own-iterates).
     std::vector<std::pair<Name, std::vector<uint32_t>>> LCells;
-    {
+    if (L < StateCellsAt.size()) {
       Loc DL;
       std::vector<uint32_t> Counts;
-      for (const auto &[N, C] : Cells) {
-        if (C.T != CellType::StateTy)
-          continue;
-        if (!decodeState(N, DL, Counts) || DL != L)
-          continue;
+      for (Name N : StateCellsAt[L]) {
+        if (!decodeState(N, DL, Counts))
+          continue; // pre-join / pre-widen cells at L
         if (BeforeHeader &&
             (Counts.size() != Info->LoopNestOf[L].size() ||
              Counts.back() != 0))
@@ -780,9 +781,10 @@ public:
   }
 
   /// Structural self-audit beyond Definition 4.1: checkWellFormed plus
-  /// Dependents↔CompOf index consistency, loop-instance metadata sanity,
-  /// and degraded-set honesty. Cheap (no domain operations) — safe to run
-  /// on a mid-cancelled DAIG. Returns "" when clean.
+  /// Dependents↔CompOf index consistency, the per-location state-cell
+  /// index, loop-instance metadata sanity, and degraded-set honesty. Cheap
+  /// (no domain operations) — safe to run on a mid-cancelled DAIG. Returns
+  /// "" when clean.
   std::string auditInvariants() const {
     std::string W = checkWellFormed();
     if (!W.empty())
@@ -809,6 +811,23 @@ public:
                  " does not list source " + S.toString();
       }
     }
+    // The per-location index holds exactly the state-like cells, each once,
+    // under the location decodeCellState gives it.
+    Loc L;
+    std::vector<uint32_t> Counts;
+    std::unordered_set<Name, NameHash> Indexed;
+    for (Loc At = 0; At < StateCellsAt.size(); ++At)
+      for (const Name &N : StateCellsAt[At]) {
+        if (!Cells.count(N))
+          return "location index names a missing cell: " + N.toString();
+        if (!decodeCellState(N, L, Counts) || L != At)
+          return "cell indexed under the wrong location: " + N.toString();
+        if (!Indexed.insert(N).second)
+          return "cell indexed twice: " + N.toString();
+      }
+    for (const auto &[N, C] : Cells)
+      if (decodeCellState(N, L, Counts) && !Indexed.count(N))
+        return "state cell missing from the location index: " + N.toString();
     // Loop metadata: every instance's fix edge exists with two iterate
     // sources of its head at counts (K−1, K).
     for (const auto &[FixDest, Inst] : Loops) {
@@ -817,8 +836,6 @@ public:
         return "loop instance without a fix edge: " + FixDest.toString();
       if (CIt->second.Srcs.size() != 2)
         return "fix edge arity violated: " + FixDest.toString();
-      Loc L;
-      std::vector<uint32_t> Counts;
       for (unsigned I = 0; I < 2; ++I) {
         if (!decodeState(CIt->second.Srcs[I], L, Counts) || L != Inst.Head ||
             Counts.empty() || Counts.back() != Inst.K - 1 + I)
@@ -872,6 +889,12 @@ private:
   EmptiedFn OnCellEmptied;
 
   std::unordered_map<Name, Cell, NameHash> Cells;
+  /// Loc → the state-like cells at it (every cell decodeCellState maps to
+  /// that location: states, pre-joins, pre-widens, fix cells), so that
+  /// rollback and statement splices visit one location's cells instead of
+  /// the whole DAIG. Kept exact by addStateCell/removeCell/construct/
+  /// swapWith/adoptUnrollings; auditInvariants checks it.
+  std::vector<std::vector<Name>> StateCellsAt;
   std::unordered_map<Name, Comp, NameHash> CompOf; ///< Keyed by destination.
   /// Source name → set of computation destinations depending on it.
   std::unordered_map<Name, std::set<Name>, NameHash> Dependents;
@@ -902,6 +925,7 @@ private:
   void swapWith(Daig &O) {
     std::swap(Info, O.Info);
     std::swap(Cells, O.Cells);
+    std::swap(StateCellsAt, O.StateCellsAt);
     std::swap(CompOf, O.CompOf);
     std::swap(Dependents, O.Dependents);
     std::swap(Loops, O.Loops);
@@ -978,7 +1002,31 @@ private:
   //===--------------------------------------------------------------------===//
 
   void addStateCell(Name N) {
-    Cells.emplace(N, Cell{CellType::StateTy, std::nullopt});
+    if (Cells.emplace(N, Cell{CellType::StateTy, std::nullopt}).second)
+      indexStateCell(N);
+  }
+
+  void indexStateCell(Name N) {
+    Loc L;
+    std::vector<uint32_t> Counts;
+    if (!decodeCellState(N, L, Counts))
+      return;
+    if (L >= StateCellsAt.size())
+      StateCellsAt.resize(L + 1);
+    StateCellsAt[L].push_back(N);
+  }
+
+  void unindexStateCell(Name N) {
+    Loc L;
+    std::vector<uint32_t> Counts;
+    if (!decodeCellState(N, L, Counts) || L >= StateCellsAt.size())
+      return;
+    std::vector<Name> &At = StateCellsAt[L];
+    auto It = std::find(At.begin(), At.end(), N);
+    if (It == At.end())
+      return;
+    *It = At.back();
+    At.pop_back();
   }
 
   void addStmtCell(Name N, const Stmt &S) {
@@ -1012,7 +1060,8 @@ private:
 
   void removeCell(Name N) {
     removeComp(N);
-    Cells.erase(N);
+    if (Cells.erase(N))
+      unindexStateCell(N);
     Loops.erase(N);
     if (!Degraded.empty())
       Degraded.erase(N);
@@ -1024,6 +1073,7 @@ private:
 
   void construct() {
     Cells.clear();
+    StateCellsAt.clear();
     CompOf.clear();
     Dependents.clear();
     Loops.clear();
@@ -1119,11 +1169,11 @@ private:
         EnclosingCtx.emplace_back(H, Ctx.count(H) ? Ctx.at(H) : 0u);
     Loops[FixDest] = LoopInstance{L, std::move(EnclosingCtx), I + 1};
 
-    // Body cells and computations under count I.
-    const std::set<Loc> &Body = Info->NaturalLoops.at(L);
-    for (Loc B : Info->Rpo) {
-      if (B == L || !Body.count(B))
-        continue;
+    // Body cells and computations under count I: walk the body alone, in
+    // RPO, skipping the head (first).
+    const std::vector<Loc> &Body = Info->LoopBodyRpo.at(L);
+    for (size_t BI = 1; BI < Body.size(); ++BI) {
+      Loc B = Body[BI];
       const auto &Nest = Info->LoopNestOf[B];
       if (Nest.back() == B && Nest.size() >= 2 &&
           Nest[Nest.size() - 2] == L) {
@@ -1446,8 +1496,6 @@ private:
   /// fix computation to the initial iterates.
   void rollbackLoop(Name FixDest, LoopInstance &Inst) {
     Loc L = Inst.Head;
-    const auto &HeadNest = Info->LoopNestOf[L];
-    size_t Pos = HeadNest.size() - 1; // L's index within its own nest
     CountCtx Ctx;
     for (const auto &[H, C] : Inst.Ctx)
       Ctx[H] = C;
@@ -1464,37 +1512,33 @@ private:
     }();
     Name PreWiden01 = Name::pair(It0, It1);
 
+    // Only cells at the head and its body locations can belong to the
+    // instance (statement cells survive rollback and are not indexed).
     std::vector<Name> ToDelete;
-    for (const auto &[N, CellV] : Cells) {
-      (void)CellV;
-      if (N == It1 || N == PreWiden01)
+    Loc CL;
+    std::vector<uint32_t> Counts;
+    for (Loc B : Info->LoopBodyRpo.at(L)) {
+      if (B >= StateCellsAt.size())
         continue;
-      Loc CL;
-      std::vector<uint32_t> Counts;
-      if (!decodeCellState(N, CL, Counts))
-        continue; // statement cells survive rollback
-      const auto &CNest = Info->LoopNestOf[CL];
-      // Find L's position within this cell's nest; fix cells have one fewer
-      // count than their head's nest, which the position check tolerates.
-      size_t P = 0;
-      for (; P < CNest.size(); ++P)
-        if (CNest[P] == L)
-          break;
-      if (P >= CNest.size() || P >= Counts.size())
-        continue; // not inside this loop (or a shallower fix cell)
-      if (Counts[P] < 1)
-        continue;
-      // Enclosing counts must match this instance's context.
-      bool CtxMatch = true;
-      for (size_t Q = 0; Q < P && CtxMatch; ++Q)
-        CtxMatch = Q < Counts.size() && Counts[Q] == (Ctx.count(CNest[Q])
-                                                          ? Ctx.at(CNest[Q])
-                                                          : 0u);
-      if (!CtxMatch)
-        continue;
-      ToDelete.push_back(N);
+      // L's position within B's nest; fix cells have one fewer count than
+      // their head's nest, which the position check tolerates.
+      const auto &Nest = Info->LoopNestOf[B];
+      size_t P = std::find(Nest.begin(), Nest.end(), L) - Nest.begin();
+      for (Name N : StateCellsAt[B]) {
+        if (N == It1 || N == PreWiden01)
+          continue;
+        decodeCellState(N, CL, Counts);
+        if (P >= Counts.size() || Counts[P] < 1)
+          continue; // a shallower fix cell, or iteration 0
+        // Enclosing counts must match this instance's context.
+        bool CtxMatch = true;
+        for (size_t Q = 0; Q < P && CtxMatch; ++Q)
+          CtxMatch =
+              Counts[Q] == (Ctx.count(Nest[Q]) ? Ctx.at(Nest[Q]) : 0u);
+        if (CtxMatch)
+          ToDelete.push_back(N);
+      }
     }
-    (void)Pos;
     for (Name N : ToDelete)
       removeCell(N);
 
@@ -1647,9 +1691,10 @@ private:
         continue;
       const Cell &CellV = CellIt->second;
       auto FreshIt = Fresh.Cells.find(N);
-      if (FreshIt == Fresh.Cells.end())
+      if (FreshIt == Fresh.Cells.end()) {
         Fresh.Cells.emplace(N, CellV);
-      else if (CellV.hasValue() && !FreshIt->second.hasValue())
+        Fresh.indexStateCell(N);
+      } else if (CellV.hasValue() && !FreshIt->second.hasValue())
         FreshIt->second.V = CellV.V;
       auto CIt = CompOf.find(N);
       if (CIt != CompOf.end()) {

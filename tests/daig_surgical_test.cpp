@@ -175,6 +175,49 @@ TEST(DaigSurgical, InsertBeforeLoopHeader) {
   expectFromScratchConsistent<IntervalDomain>(F, G, "before-header splice");
 }
 
+TEST(DaigSurgical, InsertIntoUnrolledInnerLoopOfNest) {
+  Function F = mustLowerFn(R"(
+    function main(n, m) {
+      var i = 0;
+      var s = 0;
+      while (i < n) {
+        var j = 0;
+        while (j < m) {
+          j = j + 1;
+          s = s + 1;
+        }
+        i = i + 1;
+      }
+      return s;
+    })",
+                           "main");
+  Daig<IntervalDomain> G(&F.Body, IntervalDomain::initialEntry(F.Params));
+  (void)G.queryLocation(F.Body.exit());
+  ASSERT_GE(G.unrolledLoopCount(), 2u)
+      << "both the outer instance and an inner one must be unrolled";
+  ASSERT_EQ(G.auditInvariants(), "");
+  // After-splice inside the inner body, then a before-splice at the inner
+  // header (the destination of `j = 0`): the per-location cell index must
+  // follow both the rollback and the re-sourced entry iterates.
+  Loc InnerBody = destOfStmt(F.Body, "j = j + 1");
+  EXPECT_TRUE(spliceStmt(F, G, InnerBody, Stmt::mkAssign("s", Expr::mkInt(5))));
+  EXPECT_EQ(G.auditInvariants(), "");
+  (void)G.queryLocation(F.Body.exit());
+  EXPECT_EQ(G.auditInvariants(), "");
+  Loc InnerHead = destOfStmt(F.Body, "j = 0");
+  EXPECT_TRUE(spliceStmt(F, G, InnerHead, Stmt::mkAssign("j", Expr::mkInt(1))));
+  EXPECT_EQ(G.auditInvariants(), "");
+
+  Daig<IntervalDomain> Fresh(&F.Body, IntervalDomain::initialEntry(F.Params));
+  for (Loc L : F.Body.info().Rpo)
+    EXPECT_TRUE(IntervalDomain::equal(G.queryLocation(L),
+                                      Fresh.queryLocation(L)))
+        << "location l" << L;
+  EXPECT_EQ(G.auditInvariants(), "");
+  EXPECT_EQ(G.checkAiConsistency(), "");
+  expectFromScratchConsistent<IntervalDomain>(F, G, "nested-loop splices");
+}
+
 TEST(DaigSurgical, RepeatedSplicesStayConsistent) {
   Function F = mustLowerFn(R"(
     function main(n) {

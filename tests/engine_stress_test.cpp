@@ -47,6 +47,9 @@ TEST_P(EngineStressSeed, PersistentEngineStaysSoundUnderEdits) {
     for (Loc Q : Gen.sampleQueryLocations(Engine.program(), 3))
       (void)Engine.queryMain(Q);
 
+    // Structural self-audit after every edit, including each DAIG's
+    // per-location cell index across splices, rebuilds and rollbacks.
+    ASSERT_EQ(Engine.auditInvariants(), "") << "edit " << Edit;
     if (Edit % 6 != 5)
       continue;
     // Oracle: a fresh engine on a copy of the current program.
